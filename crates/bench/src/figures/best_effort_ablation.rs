@@ -8,7 +8,11 @@
 //! * **strict** (Cubrick): a query fails unless every partition answers —
 //!   success ratio decays with fan-out (the wall), answers always exact.
 //! * **best-effort** (Scuba): queries "always succeed", but the fraction
-//!   of data behind each answer decays — `count(*)` quietly undercounts.
+//!   of data behind each answer decays — `count(*)` undercounts. The
+//!   driver's degraded mode (`partial_results`) plays Scuba here; unlike
+//!   Scuba it declares each missing shard in the answer's coverage,
+//!   which is what the incomplete-answer column counts. An attempt on
+//!   which no shard answered is a typed failure, not a count of zero.
 
 use cubrick::catalog::RowMapping;
 use cubrick::proxy::{CubrickProxy, ProxyConfig};
@@ -105,7 +109,7 @@ pub fn compute(profile: Profile) -> Vec<BestEffortPoint> {
                     &net,
                     &query,
                     &QueryOptions {
-                        best_effort,
+                        partial_results: best_effort,
                         ..Default::default()
                     },
                     now,
@@ -119,7 +123,7 @@ pub fn compute(profile: Profile) -> Vec<BestEffortPoint> {
                         .and_then(|o| o.scalar())
                         .unwrap_or(0.0);
                     accuracy_sum += counted / rows_per_fanout as f64;
-                    if outcome.partitions_answered < outcome.fan_out {
+                    if outcome.coverage.as_ref().is_some_and(|c| !c.complete()) {
                         incomplete += 1;
                     }
                 }

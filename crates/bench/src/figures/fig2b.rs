@@ -12,7 +12,7 @@
 //! guarantee is *bounded blast radius*: a table's partitions are balanced
 //! across racks, so a single-rack outage can obscure at most ⌈f/r⌉ of f
 //! partitions. We sweep the fan-out f, take out one rack (detection
-//! window: SM has not failed anything over yet), and issue best-effort
+//! window: SM has not failed anything over yet), and issue degraded-mode
 //! queries; a query meets the SLA iff it lost no more than one balanced
 //! rack share. The 99% wall is the largest fan-out whose SLA-met ratio
 //! stays ≥ 99%. With spread ON the wall must match the no-outage
@@ -205,8 +205,9 @@ fn blast_deployment(spread: bool, fanouts: &[u32], tables_per: u32) -> Deploymen
 
 /// SLA-met ratio per fan-out plus a latency histogram: a query meets the
 /// SLA iff it answered at least `f - ⌈f/r⌉` partitions (lost no more
-/// than one balanced rack share). Best-effort, single-attempt, zero
-/// transient failures — isolates placement from every other effect.
+/// than one balanced rack share). Degraded mode (`partial_results`),
+/// single-attempt, zero transient failures — isolates placement from
+/// every other effect.
 fn blast_measure(
     dep: &mut Deployment,
     fanouts: &[u32],
@@ -224,7 +225,7 @@ fn blast_measure(
     });
     let opts = QueryOptions {
         execute_data: false,
-        best_effort: true,
+        partial_results: true,
         ..Default::default()
     };
     let mut rng = SimRng::new(SEED ^ 0xB1A5);

@@ -6,10 +6,10 @@
 //! lines climb with fan-out (the paper plots the y-axis in log scale).
 //!
 //! The full profile runs the sweep at production-fleet scale: 10,002
-//! simulated hosts and fan-outs extended to 1,024 partitions, with every
-//! query arrival scheduled through the calendar-queue event kernel
-//! (`run_query_series` drives an `EventQueue` of arrivals, so this figure
-//! doubles as the kernel's end-to-end load test — millions of events).
+//! simulated hosts and fan-outs extended to 1,024 partitions. Arrivals
+//! are a plain loop over `start + i·interval` (`run_query_series`); the
+//! event kernel's load test lives in `tests/event_kernel.rs` and the
+//! `event_kernel` bench.
 
 use cubrick::catalog::RowMapping;
 use cubrick::proxy::{CubrickProxy, ProxyConfig};
@@ -26,8 +26,7 @@ use crate::Profile;
 
 /// The paper's sweep (and the fast profile's).
 pub const FANOUTS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
-/// Full-profile sweep: four more doublings past the paper's 64, probing
-/// past the wall the calendar-queue kernel unlocked.
+/// Full-profile sweep: four more doublings past the paper's 64.
 pub const FANOUTS_FULL: [u32; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 pub struct FanoutResult {

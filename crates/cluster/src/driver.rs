@@ -13,7 +13,7 @@
 //! accumulated across retry attempts.
 
 use cubrick::admission::QosClass;
-use cubrick::coordinator::{merge_degraded, merge_partials, FanoutPlan};
+use cubrick::coordinator::{merge_partials, FanoutPlan};
 use cubrick::error::CubrickError;
 use cubrick::proxy::{CoordinatorStrategy, CubrickProxy};
 use cubrick::query::result::{Coverage, PartialResult, QueryOutput, ShardState};
@@ -63,20 +63,15 @@ pub struct QueryOptions {
     /// only — used by million-query experiments).
     pub execute_data: bool,
     pub client_region: Region,
-    /// Scuba-style best-effort mode (§II-C): ignore sub-queries that
-    /// fail and merge whatever answered, trading accuracy for
-    /// availability. Cubrick's production default is `false` — "there
-    /// are many BI and data analytics workloads where this assumption
-    /// cannot be made".
-    pub best_effort: bool,
     /// QoS class stamped on the query; selects the admission lane and
     /// the stats bucket.
     pub qos: QosClass,
-    /// Degraded-mode serving (the typed alternative to `best_effort`):
-    /// failed shards become per-shard [`ShardState`] entries in a
-    /// [`Coverage`] report and the merged answer is explicitly marked
-    /// `partial`, instead of either failing outright or silently
-    /// under-counting.
+    /// Degraded-mode serving, the Scuba-style trade of §II-C made
+    /// visible: failed shards become per-shard [`ShardState`] entries in
+    /// the outcome's [`Coverage`] and the answer merges whatever
+    /// answered, instead of failing outright. Cubrick's production
+    /// default is `false` — "there are many BI and data analytics
+    /// workloads where this assumption cannot be made".
     pub partial_results: bool,
     /// Per-shard service deadline: a sub-query whose RTT + service time
     /// exceeds this is abandoned at the deadline and reported as
@@ -94,7 +89,6 @@ impl Default for QueryOptions {
             strategy: CoordinatorStrategy::CachedRandom,
             execute_data: true,
             client_region: Region(0),
-            best_effort: false,
             qos: QosClass::Interactive,
             partial_results: false,
             shard_timeout: None,
@@ -112,15 +106,12 @@ pub struct QueryOutcome {
     pub attempts: u32,
     pub fan_out: usize,
     /// Partitions whose sub-query answered. Equals `fan_out` except in
-    /// best-effort mode, where a "successful" query may be incomplete.
+    /// degraded mode, where a successful answer may miss shards.
     pub partitions_answered: usize,
     pub output: Option<QueryOutput>,
     pub error: Option<CubrickError>,
-    /// `true` when a degraded-mode answer is missing shards (always
-    /// `false` unless `partial_results` was requested).
-    pub partial: bool,
-    /// Per-shard coverage of the successful attempt (degraded or
-    /// best-effort modes; `None` on failure).
+    /// Per-shard coverage of the successful attempt (`None` on
+    /// failure). Always complete unless `partial_results` was requested.
     pub coverage: Option<Coverage>,
     /// Region that served the successful attempt.
     pub served_region: Option<Region>,
@@ -137,8 +128,7 @@ enum AttemptResult {
         /// Hosts that served a sub-query (clears their failure streaks).
         answered_hosts: Vec<HostId>,
         /// Per-shard status, plan order. Complete (all `Answered`) on
-        /// the strict path; may carry failures in degraded/best-effort
-        /// modes.
+        /// the strict path; may carry failures in degraded mode.
         coverage: Coverage,
         /// Culprit hosts behind degraded shards (accrue failure streaks
         /// even though the query as a whole succeeded).
@@ -169,7 +159,6 @@ pub fn run_query(
         partitions_answered: 0,
         output: None,
         error: Some(error),
-        partial: false,
         coverage: None,
         served_region: None,
         coordinator_partition: None,
@@ -273,32 +262,16 @@ pub fn run_query(
                     proxy.record_host_failure(host, now);
                 }
                 release(proxy);
-                let partial = opts.partial_results && !coverage.complete();
                 let output = if opts.execute_data {
-                    let mut merged = if opts.partial_results {
-                        match merge_degraded(&plan, partials, &coverage) {
-                            Ok(out) => out,
-                            Err(e) => {
-                                return fail(e, attempts, total_latency);
-                            }
-                        }
-                    } else if opts.best_effort {
-                        merge_available(partials)
-                    } else {
-                        match merge_partials(&plan, partials) {
-                            Ok(out) => Some(out),
-                            Err(e) => {
-                                return fail(e, attempts, total_latency);
-                            }
-                        }
+                    let mut merged = match merge_partials(&plan, partials, &coverage) {
+                        Ok(out) => out,
+                        Err(e) => return fail(e, attempts, total_latency),
                     };
-                    if let Some(out) = &mut merged {
-                        // Coordinator applies ORDER BY / LIMIT on the
-                        // merged result (exact top-N needs every group).
-                        query.apply_order_limit(out);
-                        proxy.record_result_metadata(&query.table, out.table_partitions);
-                    }
-                    merged
+                    // Coordinator applies ORDER BY / LIMIT on the merged
+                    // result (exact top-N needs every group).
+                    query.apply_order_limit(&mut merged);
+                    proxy.record_result_metadata(&query.table, merged.table_partitions);
+                    Some(merged)
                 } else {
                     proxy.record_result_metadata(&query.table, def.partitions);
                     None
@@ -311,7 +284,6 @@ pub fn run_query(
                     partitions_answered: answered,
                     output,
                     error: None,
-                    partial,
                     coverage: Some(coverage),
                     served_region: Some(region),
                     coordinator_partition: Some(choice.partition),
@@ -435,13 +407,6 @@ fn attempt_in_region(
                     }
                     continue;
                 }
-                if opts.best_effort {
-                    // Scuba-style: ignore the dead/slow server and move
-                    // on (§II-C). The answer will be incomplete.
-                    slowest = slowest.max(latency);
-                    coverage.push(p, ShardState::Unavailable);
-                    continue;
-                }
                 // Fail fast: the attempt's latency is what elapsed before
                 // the coordinator saw the failure.
                 return AttemptResult::Failed {
@@ -471,17 +436,6 @@ fn attempt_in_region(
         coverage,
         failed_hosts,
     }
-}
-
-/// Best-effort merge: combine whatever partials arrived (possibly fewer
-/// than the fan-out). `None` only when nothing answered at all.
-fn merge_available(partials: Vec<PartialResult>) -> Option<QueryOutput> {
-    let mut iter = partials.into_iter();
-    let mut merged = iter.next()?;
-    for p in iter {
-        merged.merge(&p);
-    }
-    Some(merged.finalize())
 }
 
 type SubQueryError = (SimDuration, CubrickError, Option<HostId>);
@@ -644,19 +598,8 @@ pub fn run_query_series(
 ) -> (u64, u64) {
     let mut successes = 0u64;
     let mut failures = 0u64;
-    // Drive the arrivals through the event kernel rather than a bare
-    // loop: every Fig 5 query is a scheduled event, so the figure sweeps
-    // double as a load test of the calendar queue at millions of events.
-    // Arrival times are exact multiples of `interval`, so outcomes (and
-    // the RNG draw order) are identical to the old arithmetic loop.
-    let mut queue: scalewall_sim::EventQueue<()> = scalewall_sim::EventQueue::new();
-    let base = start.as_nanos();
-    let step = interval.as_nanos();
     for i in 0..count {
-        queue.schedule_at(SimTime::from_nanos(base + i * step), ());
-    }
-    while let Some(ev) = queue.pop() {
-        let outcome = run_query(dep, proxy, net, query, opts, ev.time, rng);
+        let outcome = run_query(dep, proxy, net, query, opts, start + interval.mul(i), rng);
         if outcome.success {
             successes += 1;
             histogram.record_duration(outcome.latency);
@@ -733,20 +676,56 @@ mod tests {
     // publishes has certainly finished.
     const QUERY_TIME: u64 = 3_600;
 
-    #[test]
-    fn successful_query_returns_correct_data() {
+    /// Run `query` once on a fresh healthy fixture.
+    fn run_fresh(query: &Query, partial_results: bool) -> (Fixture, QueryOutcome) {
         let mut f = fixture(0.0);
-        let query = parse_query("select sum(m), count(*) from t").unwrap();
         let outcome = run_query(
             &mut f.dep,
             &mut f.proxy,
             &f.net,
-            &query,
-            &QueryOptions::default(),
+            query,
+            &QueryOptions {
+                partial_results,
+                ..Default::default()
+            },
             t(QUERY_TIME),
             &mut f.rng,
         );
-        assert!(outcome.success, "{:?}", outcome.error);
+        (f, outcome)
+    }
+
+    /// One merge serves both serving modes: on a healthy fleet the
+    /// strict and the degraded run agree, with complete coverage.
+    /// Returns the strict run.
+    fn run_in_both_modes(query: &Query) -> (Fixture, QueryOutcome) {
+        let (_, degraded) = run_fresh(query, true);
+        let (f, strict) = run_fresh(query, false);
+        assert!(strict.success, "{:?}", strict.error);
+        assert!(degraded.success, "{:?}", degraded.error);
+        assert_eq!(
+            (
+                strict.latency,
+                strict.attempts,
+                strict.partitions_answered,
+                &strict.output,
+                &strict.coverage
+            ),
+            (
+                degraded.latency,
+                degraded.attempts,
+                degraded.partitions_answered,
+                &degraded.output,
+                &degraded.coverage
+            )
+        );
+        assert!(strict.coverage.as_ref().is_some_and(Coverage::complete));
+        (f, strict)
+    }
+
+    #[test]
+    fn successful_query_returns_correct_data() {
+        let query = parse_query("select sum(m), count(*) from t").unwrap();
+        let (f, outcome) = run_in_both_modes(&query);
         assert_eq!(outcome.attempts, 1);
         assert_eq!(outcome.fan_out, 8);
         let out = outcome.output.unwrap();
@@ -760,18 +739,9 @@ mod tests {
 
     #[test]
     fn grouped_query_merges_across_partitions() {
-        let mut f = fixture(0.0);
         let query =
             parse_query("select count(*) from t where k between 0 and 99 group by k").unwrap();
-        let outcome = run_query(
-            &mut f.dep,
-            &mut f.proxy,
-            &f.net,
-            &query,
-            &QueryOptions::default(),
-            t(QUERY_TIME),
-            &mut f.rng,
-        );
+        let (_, outcome) = run_in_both_modes(&query);
         let out = outcome.output.unwrap();
         assert_eq!(out.rows.len(), 100);
         assert!(out.rows.iter().all(|r| r.aggs[0] == 1.0));
@@ -963,42 +933,6 @@ mod tests {
         assert!(outcome.attempts >= 2);
     }
 
-    #[test]
-    fn best_effort_mode_returns_partial_data() {
-        let mut f = fixture(0.0);
-        let shards = f.dep.catalog.read().shards_of_table("t").unwrap();
-        let victim = f.dep.regions[0].authoritative_host(shards[0]).unwrap();
-        f.dep.regions[0].nodes.crash(victim);
-        let query = parse_query("select count(*) from t").unwrap();
-        // Best-effort with no retries: the answer comes back incomplete
-        // instead of failing.
-        let mut proxy = CubrickProxy::new(cubrick::proxy::ProxyConfig {
-            max_retries: 0,
-            ..Default::default()
-        });
-        let outcome = run_query(
-            &mut f.dep,
-            &mut proxy,
-            &f.net,
-            &query,
-            &QueryOptions {
-                client_region: Region(0),
-                best_effort: true,
-                ..Default::default()
-            },
-            t(QUERY_TIME),
-            &mut f.rng,
-        );
-        assert!(outcome.success);
-        assert!(outcome.partitions_answered < outcome.fan_out);
-        let counted = outcome.output.unwrap().scalar().unwrap();
-        assert!(
-            counted < 1_000.0,
-            "answer is silently incomplete: {counted}"
-        );
-        assert!(counted > 0.0);
-    }
-
     /// Blacklist `host` at the proxy directly (threshold failures).
     fn blacklist(proxy: &mut CubrickProxy, host: HostId, now: SimTime) {
         for _ in 0..proxy.config().blacklist_threshold {
@@ -1090,9 +1024,9 @@ mod tests {
         );
         assert!(outcome.success, "{:?}", outcome.error);
         assert_eq!(outcome.attempts, 1, "degraded answer, no failover");
-        assert!(outcome.partial);
         assert_eq!(outcome.partitions_answered, 7);
         let cov = outcome.coverage.as_ref().unwrap();
+        assert!(!cov.complete());
         assert_eq!(cov.total(), 8);
         assert_eq!(cov.fraction(), 7.0 / 8.0);
         assert_eq!(cov.per_shard[0].state, ShardState::Blacklisted);
@@ -1100,9 +1034,11 @@ mod tests {
             .iter()
             .all(|s| s.state == ShardState::Answered));
         assert_eq!(outcome.served_region, Some(Region(0)));
-        // The merged answer covers exactly the 7 answered partitions.
+        // The merged answer covers exactly the 7 answered partitions:
+        // below the full count, above zero.
         let counted = outcome.output.unwrap().scalar().unwrap();
-        assert!(counted > 0.0 && counted < 1_000.0, "counted {counted}");
+        assert!(counted < 1_000.0, "answer is incomplete: {counted}");
+        assert!(counted > 0.0);
     }
 
     #[test]
@@ -1131,7 +1067,10 @@ mod tests {
         );
         assert!(outcome.success, "{:?}", outcome.error);
         assert!(outcome.attempts >= 2, "retried out of the dark region");
-        assert!(!outcome.partial, "the healthy region answered in full");
+        assert!(
+            outcome.coverage.as_ref().is_some_and(Coverage::complete),
+            "the healthy region answered in full"
+        );
         assert_eq!(outcome.output.unwrap().rows[0].aggs[0], 1_000.0);
     }
 
@@ -1206,8 +1145,8 @@ mod tests {
             }
             let cov = outcome.coverage.as_ref().unwrap();
             assert_eq!(cov.total(), 8);
-            assert_eq!(outcome.partial, !cov.complete());
-            if outcome.partial
+            assert_eq!(outcome.partitions_answered, cov.answered());
+            if !cov.complete()
                 && cov
                     .per_shard
                     .iter()
@@ -1230,7 +1169,7 @@ mod tests {
         // A proxy that admits nothing: only a caller-held slot gets
         // through.
         let mut proxy = CubrickProxy::new(ProxyConfig {
-            admission: Some(AdmissionConfig::flat(0)),
+            admission: AdmissionConfig::flat(0),
             ..Default::default()
         });
         let query = parse_query("select count(*) from t").unwrap();

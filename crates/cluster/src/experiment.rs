@@ -317,7 +317,7 @@ impl Experiment {
         let base_slots = config.qos.as_ref().map_or(0, |q| q.admission.total_slots);
         let proxy = match &config.qos {
             Some(q) => CubrickProxy::new(ProxyConfig {
-                admission: Some(q.admission),
+                admission: q.admission,
                 ..Default::default()
             }),
             None => CubrickProxy::new(ProxyConfig::default()),
@@ -800,7 +800,6 @@ impl Experiment {
             strategy: CoordinatorStrategy::QueueAwareTwoChoice,
             execute_data: false,
             client_region,
-            best_effort: false,
             qos: class,
             partial_results: p.degraded,
             shard_timeout: Some(p.shard_timeout),
@@ -820,17 +819,15 @@ impl Experiment {
         if outcome.success {
             self.queries_ok += 1;
             self.stats_latency.record_duration(outcome.latency);
-            let coverage_ok = !outcome.partial
-                || outcome
-                    .coverage
-                    .as_ref()
-                    .map_or(1.0, |c| c.fraction())
-                    >= p.min_coverage;
+            // Only a degraded answer can miss shards, and it must still
+            // cover enough of the table to be useful.
+            let missing = outcome.coverage.as_ref().filter(|c| !c.complete());
+            let coverage_ok = missing.is_none_or(|c| c.fraction() >= p.min_coverage);
             let sla = p.sla[class.index()];
             let counters = self.qos_stats.class_mut(class);
             if coverage_ok {
                 counters.completed += 1;
-                if outcome.partial {
+                if missing.is_some() {
                     counters.partials += 1;
                 }
                 if sla == SimDuration::ZERO || queue_wait + outcome.latency <= sla {

@@ -31,54 +31,27 @@ impl FanoutPlan {
     }
 }
 
-/// Merge per-partition partials into the final output.
+/// Merge the answered partitions' partials into the final output,
+/// checked against the attempt's [`Coverage`].
 ///
-/// Every partition must be represented: Cubrick refuses partial answers
-/// rather than trading accuracy for availability ("there are many BI and
-/// data analytics workloads where this assumption cannot be made",
-/// §II-C). `partials` must therefore have exactly `plan.fan_out()`
-/// entries.
+/// One merge serves both serving modes. On the strict path coverage is
+/// always complete: Cubrick refuses partial answers rather than trading
+/// accuracy for availability ("there are many BI and data analytics
+/// workloads where this assumption cannot be made", §II-C). In degraded
+/// mode (`partial_results`) the coverage *declares* what is missing
+/// instead of silently returning a smaller number. Invariants checked
+/// (typed errors, never panics — this file is on the lint D7
+/// panic-surface list):
+///
+/// * `coverage` must describe exactly the plan's partitions,
+/// * `partials.len()` must equal `coverage.answered()`, and
+/// * at least one partition answered (zero coverage is a failure for
+///   the caller to report, never a fabricated zero).
 pub fn merge_partials(
     plan: &FanoutPlan,
     partials: Vec<PartialResult>,
-) -> CubrickResult<QueryOutput> {
-    if partials.len() != plan.fan_out() {
-        return Err(CubrickError::Internal {
-            detail: format!(
-                "coordinator received {} partials for fan-out {}",
-                partials.len(),
-                plan.fan_out()
-            ),
-        });
-    }
-    let mut iter = partials.into_iter();
-    let Some(mut merged) = iter.next() else {
-        return Err(CubrickError::Internal {
-            detail: "zero-partition table".into(),
-        });
-    };
-    for partial in iter {
-        merged.merge(&partial);
-    }
-    Ok(merged.finalize())
-}
-
-/// Degraded-mode merge (the typed opposite of [`merge_partials`]):
-/// combine whatever answered, but *declare* what is missing through the
-/// accompanying [`Coverage`] instead of silently returning a smaller
-/// number. Invariants checked (typed errors, never panics — this file
-/// is on the lint D7 panic-surface list):
-///
-/// * `coverage` must describe exactly the plan's partitions, and
-/// * `partials.len()` must equal `coverage.answered()`.
-///
-/// Returns `Ok(None)` when nothing answered (zero coverage still lets
-/// the caller report a typed outcome rather than fabricate zeros).
-pub fn merge_degraded(
-    plan: &FanoutPlan,
-    partials: Vec<PartialResult>,
     coverage: &Coverage,
-) -> CubrickResult<Option<QueryOutput>> {
+) -> CubrickResult<QueryOutput> {
     if coverage.total() != plan.fan_out() {
         return Err(CubrickError::Internal {
             detail: format!(
@@ -99,12 +72,14 @@ pub fn merge_degraded(
     }
     let mut iter = partials.into_iter();
     let Some(mut merged) = iter.next() else {
-        return Ok(None);
+        return Err(CubrickError::Internal {
+            detail: "no partition answered".into(),
+        });
     };
     for partial in iter {
         merged.merge(&partial);
     }
-    Ok(Some(merged.finalize()))
+    Ok(merged.finalize())
 }
 
 #[cfg(test)]
@@ -128,56 +103,58 @@ mod tests {
         assert_eq!(plan.partitions, (0..8).collect::<Vec<_>>());
     }
 
+    fn coverage(states: &[ShardState]) -> Coverage {
+        let mut cov = Coverage::default();
+        for (p, &state) in states.iter().enumerate() {
+            cov.push(p as u32, state);
+        }
+        cov
+    }
+
     #[test]
     fn merge_requires_every_partition() {
         let plan = FanoutPlan::for_table("t", 3);
-        let out = merge_partials(&plan, vec![partial(1), partial(2), partial(3)]).unwrap();
+        let cov = coverage(&[ShardState::Answered; 3]);
+        let out = merge_partials(&plan, vec![partial(1), partial(2), partial(3)], &cov).unwrap();
         assert_eq!(out.rows[0].aggs[0], 6.0);
         assert_eq!(out.rows_scanned, 6);
         // Missing one partial is an error — no silent partial answers.
-        let err = merge_partials(&plan, vec![partial(1), partial(2)]).unwrap_err();
+        let err = merge_partials(&plan, vec![partial(1), partial(2)], &cov).unwrap_err();
         assert!(matches!(err, CubrickError::Internal { .. }));
     }
 
     #[test]
     fn degraded_merge_declares_missing_shards() {
         let plan = FanoutPlan::for_table("t", 3);
-        let mut cov = Coverage::default();
-        cov.push(0, ShardState::Answered);
-        cov.push(1, ShardState::TimedOut);
-        cov.push(2, ShardState::Answered);
-        let out = merge_degraded(&plan, vec![partial(1), partial(3)], &cov)
-            .unwrap()
-            .unwrap();
+        let cov = coverage(&[ShardState::Answered, ShardState::TimedOut, ShardState::Answered]);
+        let out = merge_partials(&plan, vec![partial(1), partial(3)], &cov).unwrap();
         assert_eq!(out.rows[0].aggs[0], 4.0, "only the answered partials merge");
         assert_eq!(cov.fraction(), 2.0 / 3.0);
     }
 
     #[test]
-    fn degraded_merge_zero_coverage_is_none_not_zeros() {
+    fn degraded_merge_zero_coverage_is_error_not_zeros() {
         let plan = FanoutPlan::for_table("t", 2);
-        let mut cov = Coverage::default();
-        cov.push(0, ShardState::Unavailable);
-        cov.push(1, ShardState::Blacklisted);
-        assert_eq!(merge_degraded(&plan, vec![], &cov).unwrap(), None);
+        let cov = coverage(&[ShardState::Unavailable, ShardState::Blacklisted]);
+        assert!(matches!(
+            merge_partials(&plan, vec![], &cov),
+            Err(CubrickError::Internal { .. })
+        ));
     }
 
     #[test]
     fn degraded_merge_rejects_inconsistent_coverage() {
         let plan = FanoutPlan::for_table("t", 2);
         // Coverage shorter than the plan.
-        let mut short = Coverage::default();
-        short.push(0, ShardState::Answered);
+        let short = coverage(&[ShardState::Answered]);
         assert!(matches!(
-            merge_degraded(&plan, vec![partial(1)], &short),
+            merge_partials(&plan, vec![partial(1)], &short),
             Err(CubrickError::Internal { .. })
         ));
         // Partial count disagreeing with coverage.
-        let mut cov = Coverage::default();
-        cov.push(0, ShardState::Answered);
-        cov.push(1, ShardState::Answered);
+        let cov = coverage(&[ShardState::Answered; 2]);
         assert!(matches!(
-            merge_degraded(&plan, vec![partial(1)], &cov),
+            merge_partials(&plan, vec![partial(1)], &cov),
             Err(CubrickError::Internal { .. })
         ));
     }

@@ -104,7 +104,7 @@ impl PartialResult {
 }
 
 /// Why a shard's sub-query did (or did not) contribute to a degraded
-/// result (the typed per-shard status of best-effort serving).
+/// result (the typed per-shard status of degraded-mode serving).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardState {
     /// The sub-query answered and its partial was merged.

@@ -1,4 +1,4 @@
-//! Seeded D4 violation: `unsafe` outside `sim::sync`. Any tier must
+//! Seeded D4 violation: `unsafe`. Any tier must
 //! reject this file (D4 is on in every tier).
 
 pub fn reinterpret(v: u64) -> f64 {

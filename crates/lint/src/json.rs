@@ -1,6 +1,7 @@
 //! `scalewall-lint/v2` JSON report: a hand-rolled writer and a strict
-//! validator, so `scripts/verify.sh` can machine-check lint output
-//! without the workspace growing a serde dependency (hermetic per PR 1).
+//! validator over the shared `scalewall_sim::json` codec, so
+//! `scripts/verify.sh` can machine-check lint output without the
+//! workspace growing a serde dependency.
 //!
 //! Schema (all keys required, no extras checked beyond these):
 //!
@@ -18,27 +19,13 @@
 //! them against the arrays, so a truncated or hand-edited report fails
 //! loudly instead of green-lighting a gate.
 
+use scalewall_sim::json::{parse, quote, Json};
+
 use crate::{RuleId, WorkspaceReport};
 
 pub const SCHEMA: &str = "scalewall-lint/v2";
 
 // ------------------------------------------------------------- writer
-
-fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Render a workspace report as a `scalewall-lint/v2` document.
 pub fn to_json(report: &WorkspaceReport) -> String {
@@ -56,13 +43,13 @@ pub fn to_json(report: &WorkspaceReport) -> String {
             }
             first = false;
             s.push_str("\n    {\"path\": ");
-            esc(&f.path, &mut s);
+            s.push_str(&quote(&f.path));
             s.push_str(", \"line\": ");
             s.push_str(&v.line.to_string());
             s.push_str(", \"rule\": ");
-            esc(&v.rule.to_string(), &mut s);
+            s.push_str(&quote(&v.rule.to_string()));
             s.push_str(", \"message\": ");
-            esc(&v.message, &mut s);
+            s.push_str(&quote(&v.message));
             s.push('}');
         }
     }
@@ -78,7 +65,7 @@ pub fn to_json(report: &WorkspaceReport) -> String {
             }
             first = false;
             s.push_str("\n    {\"path\": ");
-            esc(&f.path, &mut s);
+            s.push_str(&quote(&f.path));
             s.push_str(", \"line\": ");
             s.push_str(&p.line.to_string());
             s.push_str(", \"rules\": [");
@@ -86,10 +73,10 @@ pub fn to_json(report: &WorkspaceReport) -> String {
                 if i > 0 {
                     s.push_str(", ");
                 }
-                esc(&r.to_string(), &mut s);
+                s.push_str(&quote(&r.to_string()));
             }
             s.push_str("], \"reason\": ");
-            esc(&p.reason, &mut s);
+            s.push_str(&quote(&p.reason));
             s.push_str(", \"suppressed\": ");
             s.push_str(&p.suppressed.to_string());
             s.push('}');
@@ -109,232 +96,16 @@ pub fn to_json(report: &WorkspaceReport) -> String {
     s
 }
 
-// ------------------------------------------------------------- parser
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_count(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-type PResult<T> = Result<T, String>;
-
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> PResult<()> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} (found {:?})",
-                c as char,
-                self.i,
-                self.b.get(self.i).map(|&b| b as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> PResult<Value> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other.map(|&b| b as char), self.i)),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Value) -> PResult<Value> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> PResult<Value> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while matches!(self.b.get(self.i), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> PResult<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.i))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|e| format!("invalid utf-8: {e}"))?;
-                    let c = rest.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> PResult<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' (found {:?})", other.map(|&b| b as char))),
-            }
-        }
-    }
-
-    fn object(&mut self) -> PResult<Value> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                other => return Err(format!("expected ',' or '}}' (found {:?})", other.map(|&b| b as char))),
-            }
-        }
-    }
-}
-
-fn parse(text: &str) -> PResult<Value> {
-    let mut p = Parser { b: text.as_bytes(), i: 0 };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
-    Ok(v)
-}
-
 // ---------------------------------------------------------- validator
 
-fn count_field(obj: &Value, key: &str, ctx: &str) -> Result<u64, String> {
+fn count_field(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
     obj.get(key)
         .ok_or_else(|| format!("{ctx}: missing key {key:?}"))?
         .as_count()
         .ok_or_else(|| format!("{ctx}: {key:?} must be a non-negative integer"))
 }
 
-fn str_field<'a>(obj: &'a Value, key: &str, ctx: &str) -> Result<&'a str, String> {
+fn str_field<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
     obj.get(key)
         .ok_or_else(|| format!("{ctx}: missing key {key:?}"))?
         .as_str()
@@ -347,7 +118,7 @@ fn str_field<'a>(obj: &'a Value, key: &str, ctx: &str) -> Result<&'a str, String
 /// success so callers can gate without re-parsing.
 pub fn validate(text: &str) -> Result<(u64, u64), String> {
     let doc = parse(text)?;
-    if !matches!(doc, Value::Obj(_)) {
+    if !matches!(doc, Json::Obj(_)) {
         return Err("top level must be an object".to_string());
     }
     let schema = str_field(&doc, "schema", "report")?;

@@ -24,8 +24,8 @@
 //!   `crates/sim` breaks the fork discipline (seeds must flow from the
 //!   experiment root so streams stay stable). Construct from config seeds
 //!   or `fork()`.
-//! * **D4 — no `unsafe`.** Outside `sim::sync` (the lock shims), `unsafe`
-//!   has no business in a deterministic simulation.
+//! * **D4 — no `unsafe`.** It has no business in a deterministic
+//!   simulation, anywhere in the workspace.
 //! * **D5 — RNG stream discipline** (semantic). Two `fork(…)` sites on
 //!   one stream sharing a static label, re-forking a stream after drawing
 //!   from it ("fork before fan-out"), and workload RNG values flowing
@@ -98,7 +98,7 @@ pub enum RuleId {
     D2,
     /// Literal-seeded RNG construction outside `crates/sim`.
     D3,
-    /// `unsafe` outside `sim::sync`.
+    /// `unsafe` anywhere.
     D4,
     /// RNG stream-discipline breach (duplicate fork label, fork after
     /// draw, workload→fault/backoff flow).
@@ -247,12 +247,6 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
     if rel.starts_with("crates/lint/fixtures/") {
         return None;
     }
-    // Sanctioned files first: most-specific match wins.
-    if rel == "crates/sim/src/sync.rs" {
-        // The lock shims may need `unsafe` (they are the one sanctioned
-        // home for it) but everything else still applies.
-        return Some(RuleSet { d4: false, ..RuleSet::SIM_RNG_HOME });
-    }
     if rel == "crates/bench/src/microbench.rs" {
         // The sanctioned wall-clock runner.
         return Some(RuleSet::PLAIN);
@@ -363,6 +357,8 @@ pub(crate) struct Candidate {
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
+const D4_MESSAGE: &str = "`unsafe` has no business in a deterministic simulation";
+
 fn push_candidate(out: &mut Vec<Candidate>, rule: RuleId, line: u32, message: String) {
     // Dedupe per (rule, line): `std::thread::spawn` should report once.
     if !out.iter().any(|c| c.rule == rule && c.line == line) {
@@ -413,8 +409,7 @@ fn scan_parsed(parsed: &ParsedFile) -> Vec<Candidate> {
                 &mut out,
                 RuleId::D4,
                 *line,
-                "`unsafe` outside `sim::sync` — a deterministic simulation has no business here"
-                    .to_string(),
+                D4_MESSAGE.to_string(),
             );
         }
     }
@@ -524,7 +519,7 @@ fn scan_parsed(parsed: &ParsedFile) -> Vec<Candidate> {
                     &mut out,
                     RuleId::D4,
                     *line,
-                    "`unsafe` outside `sim::sync` — a deterministic simulation has no business here".to_string(),
+                    D4_MESSAGE.to_string(),
                 );
             }
             _ => {}
@@ -586,7 +581,7 @@ fn scan_tokens(code: &[Token], out: &mut Vec<Candidate>) {
                 out,
                 RuleId::D4,
                 t.line,
-                "`unsafe` outside `sim::sync` — a deterministic simulation has no business here".to_string(),
+                D4_MESSAGE.to_string(),
             ),
             "unwrap" | "expect" if i > 0 && punct_at(i - 1, '.') && punct_at(i + 1, '(') => {
                 push_candidate(
@@ -1330,10 +1325,7 @@ impl W {
     fn tiering_matches_layout() {
         assert_eq!(ruleset_for("crates/cubrick/src/store.rs"), Some(RuleSet::SIM));
         assert_eq!(ruleset_for("crates/sim/src/rng.rs"), Some(RuleSet::SIM_RNG_HOME));
-        assert_eq!(
-            ruleset_for("crates/sim/src/sync.rs"),
-            Some(RuleSet { d4: false, ..RuleSet::SIM_RNG_HOME })
-        );
+        assert_eq!(ruleset_for("crates/sim/src/sync.rs"), Some(RuleSet::SIM_RNG_HOME));
         assert_eq!(ruleset_for("crates/bench/src/microbench.rs"), Some(RuleSet::PLAIN));
         assert_eq!(ruleset_for("crates/bench/src/figures/fig4a.rs"), Some(RuleSet::BENCH));
         assert_eq!(ruleset_for("crates/cubrick/tests/props.rs"), Some(RuleSet::PLAIN));

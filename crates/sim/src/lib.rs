@@ -22,10 +22,12 @@
 //!   Zipf (access skew), Bernoulli and Poisson processes (failures).
 //! * [`stats`] — online statistics: log-bucketed latency histograms with
 //!   percentile queries, Welford accumulators, daily time-series counters.
-//! * [`sync`] — poison-free `RwLock`/`Mutex` wrappers over `std::sync`
-//!   (the workspace is hermetic: no external lock crates).
+//! * [`sync`] — a poison-free `RwLock` wrapper over `std::sync` (the
+//!   workspace is hermetic: no external lock crates).
 //! * [`prop`] — a lightweight property-based testing harness over
 //!   [`SimRng`], used by every crate's invariant suites.
+//! * [`json`] — one JSON value type, strict parser and string quoter,
+//!   shared by the lint and microbench reports.
 //!
 //! Nothing in this crate knows about databases or shards; it is the
 //! hardware-and-physics layer everything else runs on.
@@ -33,6 +35,7 @@
 pub mod dist;
 pub mod event;
 pub mod fault;
+pub mod json;
 pub mod prop;
 pub mod rng;
 pub mod stats;

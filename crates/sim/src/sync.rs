@@ -1,9 +1,9 @@
-//! Poison-free lock wrappers over `std::sync`.
+//! Poison-free reader–writer lock over `std::sync`.
 //!
 //! The workspace is hermetic (no external crates; see DESIGN.md), so the
-//! ergonomic `parking_lot` locks were replaced with these thin wrappers:
-//! same `.read()` / `.write()` / `.lock()` call-site surface, guards
-//! returned directly rather than behind a `Result`.
+//! ergonomic `parking_lot` lock was replaced with this thin wrapper: same
+//! `.read()` / `.write()` call-site surface, guards returned directly
+//! rather than behind a `Result`.
 //!
 //! Poisoning is deliberately ignored: the simulation is single-process and
 //! deterministic, and a panic while holding a lock already aborts the
@@ -60,33 +60,6 @@ impl<T: Default> From<T> for RwLock<T> {
     }
 }
 
-/// Mutual-exclusion lock with `parking_lot`-style ergonomics.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    pub fn new(value: T) -> Self {
-        Mutex(sync::Mutex::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        ignore_poison(self.0.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock (blocks; never returns `Err`).
-    pub fn lock(&self) -> sync::MutexGuard<'_, T> {
-        ignore_poison(self.0.lock())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        ignore_poison(self.0.get_mut())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,13 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn mutex_round_trip() {
-        let m = Mutex::new(vec![1, 2]);
-        m.lock().push(3);
-        assert_eq!(m.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn rwlock_survives_poisoning() {
         let lock = Arc::new(RwLock::new(7u32));
         let poisoner = Arc::clone(&lock);
@@ -121,18 +87,5 @@ mod tests {
         assert_eq!(*lock.read(), 7);
         *lock.write() = 8;
         assert_eq!(*lock.read(), 8);
-    }
-
-    #[test]
-    fn mutex_survives_poisoning() {
-        let m = Arc::new(Mutex::new(0u32));
-        let poisoner = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock();
-            panic!("poison the lock");
-        })
-        .join();
-        *m.lock() = 5;
-        assert_eq!(*m.lock(), 5);
     }
 }

@@ -37,6 +37,12 @@ cargo run --release --offline -p scalewall-lint -- --validate "$lint_json"
 
 cargo test -q --offline --workspace
 
+# Benchmark self-tests: `perfbench/` is a workspace of its own (path
+# dependencies on the crates), so the workspace test above never builds
+# it. Running its suite here makes removing or renaming a public name the
+# benchmark uses fail verification instead of the benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Correlated-fault scenario suite (ISSUE 2): replayable rack/region
 # outage, partition, and drain-storm scenarios must stay green, and the
 # fig2b bench binary must not bit-rot (tiny smoke sweep, output dropped).
